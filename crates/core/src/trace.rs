@@ -19,6 +19,11 @@
 //!   *concurrency*, not its length. The batch functions in
 //!   [`crate::consistency`] and [`crate::fractions`] are thin wrappers
 //!   over these cores.
+//! * [`StreamingQqcMeter`] — the QQC lateness profile, which needs the
+//!   set of finished values: `O(concurrency)` words while every value
+//!   reaches it, and one bit per value above the first value that never
+//!   does (lost to ring overflow or skipped by sampling). The
+//!   [`StreamingAuditor`] carries one, so the same bound holds for it.
 //! * [`EventMerger`] — turns per-thread (per-shard) event streams, each
 //!   internally ordered by enter time, into the single globally
 //!   enter-ordered stream the monitors require, using per-shard
@@ -490,20 +495,38 @@ impl OpSink for StreamingFractionMeter {
 /// and p99 of the per-op lateness distribution.
 ///
 /// Feed in nondecreasing enter order (same contract as the other
-/// monitors). Each push costs `O(log n + lateness)`: finished values below
-/// the dense "floor" (counting histories hand out every value exactly
-/// once, so the finished set is eventually an interval) are compacted to a
-/// single integer, and only the sparse out-of-order suffix is kept in a
-/// tree.
+/// monitors). The finished values are kept exactly, in three parts:
+///
+/// * a dense **floor** — every value below it has finished (a counting
+///   history hands out every value once, so the finished set is mostly an
+///   interval);
+/// * a word-aligned **bitset window** from the floor to the largest
+///   finished value, one bit per value, whose front words are dropped as
+///   the floor passes them;
+/// * a small map of **repeat finishes** (a value finishing twice — never
+///   from a correct counter) and of values implausibly far (2^30 or more)
+///   above the window.
+///
+/// A push costs `O(log n)` for the pending heap plus one popcount per
+/// window word above the op's value. Memory is the pending heap plus the
+/// window: `O(concurrency)` words while every value is seen, and one bit
+/// per value between the first value that never finishes (lost to ring
+/// overflow or skipped by 1-in-k sampling) and the largest finished one
+/// when some are not.
 #[derive(Clone, Debug, Default)]
 pub struct StreamingQqcMeter {
     pending: BinaryHeap<Reverse<Pending>>,
-    /// Every value `< floor` has finished exactly once (interval
-    /// compaction of the dense prefix).
+    /// Every value `< floor` has finished at least once.
     floor: u64,
-    /// Finished values not covered by the floor interval: out-of-order
-    /// values `>= floor`, plus duplicate finishes of compacted values.
-    above: BTreeMap<u64, u64>,
+    /// Finished values from the floor up: bit `i` of word `k` is value
+    /// `base + 64k + i`. While the window is nonempty, `base` is a
+    /// multiple of 64 and `base <= floor < base + 64`.
+    window: VecDeque<u64>,
+    base: u64,
+    /// Finishes neither the floor nor the window holds: repeats of a value
+    /// already counted, and values [`WINDOW_MAX_SPAN`] or more above
+    /// `base`.
+    extra: BTreeMap<u64, u64>,
     last_enter: Option<(u64, usize)>,
     total: usize,
     late: usize,
@@ -511,6 +534,13 @@ pub struct StreamingQqcMeter {
     sum: u128,
     hist: LatencyHistogram,
 }
+
+/// How far above its base the [`StreamingQqcMeter`] window may reach
+/// (2^30 values, a 128 MiB bitset). A counter hands out values in order,
+/// so the window only gets there after a billion values beyond the first
+/// unseen one; a single wild value from a buggy or hostile peer goes to the
+/// sparse map instead of forcing a huge allocation.
+const WINDOW_MAX_SPAN: u64 = 1 << 30;
 
 impl StreamingQqcMeter {
     /// A fresh meter.
@@ -521,27 +551,67 @@ impl StreamingQqcMeter {
     /// Marks one value as finished (its operation retired from the
     /// pending set).
     fn finish(&mut self, v: u64) {
-        if v != self.floor {
-            *self.above.entry(v).or_insert(0) += 1;
-            return;
+        if v < self.floor {
+            return self.finish_extra(v);
         }
-        self.floor += 1;
-        while let Some(&c) = self.above.get(&self.floor) {
-            self.above.remove(&self.floor);
-            if c > 1 {
-                // The extra finishes are duplicates of a now-compacted
-                // value; keep them as explicit entries below the floor.
-                self.above.insert(self.floor, c - 1);
+        if self.window.is_empty() {
+            self.base = self.floor & !63;
+        }
+        let offset = v - self.base;
+        if offset >= WINDOW_MAX_SPAN {
+            return self.finish_extra(v);
+        }
+        let (word, bit) = ((offset / 64) as usize, offset % 64);
+        if word >= self.window.len() {
+            self.window.resize(word + 1, 0);
+        }
+        if self.window[word] >> bit & 1 == 1 {
+            return self.finish_extra(v);
+        }
+        self.window[word] |= 1 << bit;
+        if v == self.floor {
+            self.advance_floor();
+        }
+    }
+
+    fn finish_extra(&mut self, v: u64) {
+        *self.extra.entry(v).or_insert(0) += 1;
+    }
+
+    /// Moves the floor over the run of finished values starting at it, then
+    /// drops the window words wholly below the new floor.
+    fn advance_floor(&mut self) {
+        loop {
+            let offset = self.floor - self.base;
+            let (word, bit) = ((offset / 64) as usize, offset % 64);
+            let Some(&w) = self.window.get(word) else { break };
+            let run = u64::from((w >> bit).trailing_ones());
+            self.floor += run;
+            if bit + run < 64 {
+                break;
             }
-            self.floor += 1;
         }
+        let passed = (((self.floor - self.base) / 64) as usize).min(self.window.len());
+        self.window.drain(..passed);
+        self.base += 64 * passed as u64;
     }
 
     /// Finished operations with a value strictly greater than `v`.
     fn finished_greater(&self, v: u64) -> u64 {
         let interval = if v < self.floor { self.floor - 1 - v } else { 0 };
-        let sparse: u64 = self.above.range((Excluded(v), Unbounded)).map(|(_, c)| c).sum();
-        interval + sparse
+        // Window bits above both `v` and the floor (bits below the floor
+        // are already in the interval).
+        let offset = v.saturating_add(1).max(self.floor) - self.base;
+        let (word, bit) = (offset / 64, offset % 64);
+        let windowed: u64 = if word < self.window.len() as u64 {
+            let word = word as usize;
+            let first = u64::from((self.window[word] >> bit).count_ones());
+            first + self.window.range(word + 1..).map(|w| u64::from(w.count_ones())).sum::<u64>()
+        } else {
+            0
+        };
+        let extra: u64 = self.extra.range((Excluded(v), Unbounded)).map(|(_, c)| c).sum();
+        interval + windowed + extra
     }
 
     /// Consumes one event and returns its lateness.
@@ -886,42 +956,6 @@ impl EventMerger {
     }
 }
 
-/// Local QQC bookkeeping for one shard: the same floor-compaction trick as
-/// [`StreamingQqcMeter`], restricted to the values this shard has seen
-/// finish. Because one shard only ever observes a (sparse) subset of the
-/// global 0..n value range, the floor rarely advances and most finished
-/// values live in the sparse tree — that is fine: the shard verdict is a
-/// *candidate* (sound lower bound), the exact distribution comes from the
-/// [`MergeAuditor`]'s global pass.
-#[derive(Clone, Debug, Default)]
-struct ShardQqc {
-    floor: u64,
-    above: BTreeMap<u64, u64>,
-}
-
-impl ShardQqc {
-    fn finish(&mut self, v: u64) {
-        if v != self.floor {
-            *self.above.entry(v).or_insert(0) += 1;
-            return;
-        }
-        self.floor += 1;
-        while let Some(&c) = self.above.get(&self.floor) {
-            self.above.remove(&self.floor);
-            if c > 1 {
-                self.above.insert(self.floor, c - 1);
-            }
-            self.floor += 1;
-        }
-    }
-
-    fn finished_greater(&self, v: u64) -> u64 {
-        let interval = if v < self.floor { self.floor - 1 - v } else { 0 };
-        let sparse: u64 = self.above.range((Excluded(v), Unbounded)).map(|(_, c)| c).sum();
-        interval + sparse
-    }
-}
-
 /// One shard's contribution to a merged audit: its buffered events (still
 /// raw — no global sequence numbers yet), its release watermark, and the
 /// partial verdict its [`ShardMonitor`] computed locally. This is the unit
@@ -950,19 +984,16 @@ pub struct ShardFrontier {
     /// Locally witnessed per-process value inversions. When sharding is
     /// per process — the recorder's layout — this is *exact*, not a bound.
     pub non_sc: usize,
-    /// The shard's local QQC floor: every value below it has been seen
-    /// finishing on this shard.
-    pub qqc_floor: u64,
-    /// Largest locally witnessed QQC lateness (sound lower bound on the
-    /// global `qqc_max`).
-    pub candidate_qqc_max: u64,
 }
 
 /// The per-shard half of the parallel audit pipeline: consumes one
 /// recorder ring shard **in place** (no global k-way merge on the hot
-/// path) and maintains a local partial verdict — local SC order, candidate
-/// linearizability inversions, a local QQC floor — while buffering the
-/// events for the lazy global merge.
+/// path) and maintains a local partial verdict — local SC order and
+/// candidate linearizability inversions — while buffering the events for
+/// the lazy global merge. Besides that buffer it holds only the locally
+/// pending ops, the largest locally finished value and each process's
+/// previous value: no state grows with the values it has seen. The exact
+/// QQC lateness profile comes from the [`MergeAuditor`]'s global pass.
 ///
 /// Soundness of the partial verdict: operations recorded on one shard are
 /// in genuine program/real-time order, so any inversion witnessed locally
@@ -996,12 +1027,13 @@ pub struct ShardMonitor {
     /// Locally pending ops: `(exit_ns, value)` min-heap, popped as later
     /// ops enter.
     pending: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The largest value among locally finished ops: an op is a local
+    /// non-linearizable candidate iff this exceeds its value.
+    max_finished: Option<u64>,
     candidate_non_lin: usize,
     /// Per process: the previous value observed (adjacent-pair SC check).
     prev: HashMap<usize, u64>,
     non_sc: usize,
-    qqc: ShardQqc,
-    candidate_qqc_max: u64,
     observed: usize,
 }
 
@@ -1015,11 +1047,10 @@ impl ShardMonitor {
             dropped: 0,
             skipped: 0,
             pending: BinaryHeap::new(),
+            max_finished: None,
             candidate_non_lin: 0,
             prev: HashMap::new(),
             non_sc: 0,
-            qqc: ShardQqc::default(),
-            candidate_qqc_max: 0,
             observed: 0,
         }
     }
@@ -1054,15 +1085,13 @@ impl ShardMonitor {
         while let Some(&Reverse((exit, value))) = self.pending.peek() {
             if exit < enter_ns {
                 self.pending.pop();
-                self.qqc.finish(value);
+                self.max_finished = self.max_finished.max(Some(value));
             } else {
                 break;
             }
         }
-        let late = self.qqc.finished_greater(op.value);
-        if late > 0 {
+        if self.max_finished.is_some_and(|m| m > op.value) {
             self.candidate_non_lin += 1;
-            self.candidate_qqc_max = self.candidate_qqc_max.max(late);
         }
         match self.prev.insert(op.process, op.value) {
             Some(pv) if pv > op.value => self.non_sc += 1,
@@ -1096,8 +1125,6 @@ impl ShardMonitor {
             skipped: self.skipped,
             candidate_non_lin: self.candidate_non_lin,
             non_sc: self.non_sc,
-            qqc_floor: self.qqc.floor,
-            candidate_qqc_max: self.candidate_qqc_max,
         }
     }
 }
@@ -1116,10 +1143,6 @@ pub struct ShardStats {
     pub candidate_non_lin: usize,
     /// The shard's locally witnessed SC inversions.
     pub non_sc: usize,
-    /// The shard's local QQC floor.
-    pub qqc_floor: u64,
-    /// Largest locally witnessed QQC lateness.
-    pub candidate_qqc_max: u64,
 }
 
 /// The lazy half of the parallel audit pipeline: folds [`ShardFrontier`]s
@@ -1177,8 +1200,6 @@ impl MergeAuditor {
         st.skipped = frontier.skipped;
         st.candidate_non_lin = frontier.candidate_non_lin;
         st.non_sc = frontier.non_sc;
-        st.qqc_floor = frontier.qqc_floor;
-        st.candidate_qqc_max = frontier.candidate_qqc_max;
         if frontier.finished {
             self.merger.finish(shard);
         }
@@ -1434,6 +1455,86 @@ mod tests {
             assert_eq!(flags.non_linearizable, late > 0, "{ev:?}");
         }
         assert_eq!(qqc.late_ops(), meter.non_linearizable());
+    }
+
+    #[test]
+    fn qqc_meter_keeps_a_wild_value_out_of_the_window() {
+        // A value far beyond the window span (a corrupt or hostile wire
+        // stamp) lands in the sparse map: no huge allocation, and lateness
+        // still counts it.
+        let mut qqc = StreamingQqcMeter::new();
+        qqc.push(&op(0, 0.0, 1.0, u64::MAX - 1));
+        qqc.push(&op(1, 0.5, 1.5, 0));
+        let late = qqc.push(&op(2, 2.0, 3.0, 1));
+        assert_eq!(late, 1, "u64::MAX - 1 finished before value 1 entered");
+        assert_eq!(qqc.floor, 1);
+        assert!(qqc.window.len() <= 1, "window: {} words", qqc.window.len());
+        assert_eq!(qqc.extra.len(), 1);
+    }
+
+    #[test]
+    fn qqc_bookkeeping_stays_bounded_on_gapped_sharded_streams() {
+        // Eight shards, each seeing every 8th value, as the recorder's
+        // per-process rings do under two-way interleaving. First run:
+        // 90% of the values are missing in ring-sized runs (overflow or
+        // sampling), so the global floor sticks at the first lost value.
+        // Second run: every value arrives, so the floor keeps up.
+        const SHARDS: usize = 8;
+        const CHUNK: u64 = 1 << 12;
+        const EPOCH: u64 = 1 << 12;
+        let run = |events: u64, keep: &dyn Fn(u64) -> bool| {
+            let mut mons: Vec<ShardMonitor> = (0..SHARDS).map(ShardMonitor::new).collect();
+            let mut merged = MergeAuditor::new(SHARDS);
+            let (mut fed, mut v, mut max_value) = (0u64, 0u64, 0u64);
+            while fed < events {
+                if keep(v) {
+                    // Each op overlaps the next few to a dozen values, so
+                    // values finish out of order across word boundaries.
+                    let shard = (v % SHARDS as u64) as usize;
+                    let enter_ns = 10 * v;
+                    mons[shard].observe(RawOp {
+                        process: shard,
+                        enter_ns,
+                        exit_ns: enter_ns + 25 + 30 * (v % 5),
+                        value: v,
+                    });
+                    max_value = v;
+                    fed += 1;
+                    if fed.is_multiple_of(EPOCH) || fed == events {
+                        for mon in &mut mons {
+                            merged.ingest(mon.take_frontier(fed == events));
+                            // Besides the buffer just shipped, nothing in
+                            // a shard monitor grows with the values seen.
+                            assert_eq!(mon.ops.capacity(), 0);
+                            assert!(mon.pending.len() <= 2, "{}", mon.pending.len());
+                            assert!(mon.prev.len() <= 1);
+                        }
+                        let qqc = &merged.auditor.qqc;
+                        let words = qqc.window.len() as u64;
+                        assert!(
+                            words <= max_value / 64 - qqc.floor / 64 + 1,
+                            "{words} words over [{}, {max_value}]",
+                            qqc.floor
+                        );
+                        assert!(qqc.extra.is_empty());
+                    }
+                }
+                v += 1;
+            }
+            assert_eq!(merged.operations() as u64, events);
+            assert!(merged.is_clean(), "{}", merged.summary());
+            (merged, max_value)
+        };
+        let (gapped, max_value) = run(1 << 20, &|v| (v / CHUNK).is_multiple_of(10));
+        let qqc = &gapped.auditor.qqc;
+        assert_eq!(qqc.floor, CHUNK, "stuck at the first lost value");
+        // One bit per value from there up: ~10.4M values in ~160k words.
+        assert!(qqc.window.len() as u64 >= (max_value - CHUNK) / 64 - qqc.floor / 64);
+        // Dense: the window spans only the few values still in flight.
+        let (dense, _) = run(1 << 18, &|_| true);
+        let qqc = &dense.auditor.qqc;
+        assert!(qqc.window.len() <= 2, "{} words", qqc.window.len());
+        assert!(qqc.floor >= (1 << 18) - 16, "only the last ops still pending");
     }
 
     #[test]

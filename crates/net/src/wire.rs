@@ -243,9 +243,9 @@ pub const MAX_TRACE_EVENTS: u32 = 1 << 14;
 
 /// Wire size of a [`Response::Frontier`] body before its ops: `shard:
 /// u32`, `flags: u8` (bit 0 = finished, bit 1 = watermark present),
-/// `watermark`, `dropped`, `skipped`, `candidate_non_lin`, `non_sc`,
-/// `qqc_floor`, `candidate_qqc_max` (seven `u64`s), `n: u32`.
-pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 7 * 8 + 4;
+/// `watermark`, `dropped`, `skipped`, `candidate_non_lin`, `non_sc` (five
+/// `u64`s), `n: u32`.
+pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 5 * 8 + 4;
 
 /// Wire size of one frontier op: `process: u32`, then three `u64`s.
 pub const FRONTIER_OP_LEN: usize = 28;
@@ -662,8 +662,6 @@ impl Response {
                 out.extend_from_slice(&f.skipped.to_le_bytes());
                 out.extend_from_slice(&(f.candidate_non_lin as u64).to_le_bytes());
                 out.extend_from_slice(&(f.non_sc as u64).to_le_bytes());
-                out.extend_from_slice(&f.qqc_floor.to_le_bytes());
-                out.extend_from_slice(&f.candidate_qqc_max.to_le_bytes());
                 out.extend_from_slice(&(f.ops.len() as u32).to_le_bytes());
                 for op in &f.ops {
                     out.extend_from_slice(&(op.process as u32).to_le_bytes());
@@ -809,8 +807,6 @@ impl Response {
                         skipped: u64_at(21),
                         candidate_non_lin: u64_at(29) as usize,
                         non_sc: u64_at(37) as usize,
-                        qqc_floor: u64_at(45),
-                        candidate_qqc_max: u64_at(53),
                     },
                 }
             }
@@ -1028,8 +1024,6 @@ mod tests {
                     skipped: 40,
                     candidate_non_lin: 1,
                     non_sc: 1,
-                    qqc_floor: 4,
-                    candidate_qqc_max: 2,
                 },
             },
         ]

@@ -47,6 +47,10 @@ cargo test -q --offline --workspace
 # each harness=false bench target executes its routines once, so this
 # verifies the measurement code paths without paying for a full run.
 cargo test -q --offline -p cnet-bench
+# The benchmark (perfbench/) is its own Cargo workspace, so the workspace
+# build above never compiles it. Build and test it here, so an API change
+# that breaks the benchmark fails this gate.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Model-check gate: exhaustively enumerate every bounded interleaving of
 # the lock-free core under the shim-atomic scheduler (crates/util/src/
